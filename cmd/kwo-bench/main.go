@@ -12,7 +12,7 @@
 //	kwo-bench                  # run everything
 //	kwo-bench -fig 4a          # one experiment: 4a 4b 5 6 7 onboarding band fleet ablations
 //	kwo-bench -seed 7 -csv     # different seed; machine-readable rows
-//	kwo-bench -parallel 1      # disable parallelism
+//	GOMAXPROCS=1 kwo-bench     # sequential run, same output
 //	kwo-bench -bench BENCH_dev.json -rev dev
 //	                           # record wall-times + figure metrics as a
 //	                           # benchio JSON artifact
@@ -30,19 +30,17 @@ import (
 	"kwo/internal/benchio"
 	"kwo/internal/experiments"
 	"kwo/internal/fleet"
+	"kwo/internal/par"
 )
 
 func main() {
 	fig := flag.String("fig", "all", "experiment to run: 4a, 4b, 5, 6, 7, onboarding, band, fleet, ablations, all")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	csv := flag.Bool("csv", false, "emit CSV rows instead of tables")
-	parallel := flag.Int("parallel", 0, "max concurrent workers for experiment fan-out (0 = one per CPU, 1 = sequential)")
 	benchOut := flag.String("bench", "", "write a benchio JSON report (wall-times + figure metrics) to this file")
 	goBench := flag.String("gobench", "", "merge records parsed from a 'go test -bench' output file into the -bench report")
 	rev := flag.String("rev", "dev", "revision label recorded in the -bench report")
 	flag.Parse()
-
-	experiments.MaxWorkers = *parallel
 
 	// Each experiment renders its output to a string and reports the
 	// headline metrics for the bench artifact; printing happens after
@@ -167,7 +165,7 @@ func main() {
 		result
 		wall time.Duration
 	}
-	results := experiments.RunIndexed(len(selected), func(i int) timed {
+	results := par.Map(len(selected), 0, func(i int) timed {
 		start := time.Now()
 		r := selected[i].run()
 		return timed{r, time.Since(start)}

@@ -10,6 +10,7 @@ import (
 	"kwo/internal/cdw"
 	"kwo/internal/core"
 	"kwo/internal/costmodel"
+	"kwo/internal/par"
 	"kwo/internal/simclock"
 	"kwo/internal/telemetry"
 	"kwo/internal/workload"
@@ -70,7 +71,7 @@ func AblationCostModel(seed int64) AblationCostModelResult {
 		store *telemetry.Store
 		truth float64
 	}
-	arms := RunIndexed(2, func(i int) armOut {
+	arms := par.Map(2, 0, func(i int) armOut {
 		if i == 0 {
 			schedA := simclock.NewScheduler(seed)
 			acctA := cdw.NewAccount(schedA, cdw.DefaultSimParams())
@@ -165,7 +166,7 @@ func AblationBackoff(seed int64) AblationBackoffResult {
 			Orig: cfg, Gen: gen, PreDays: 2, KwoDays: 4, Opts: opts,
 			Settings: core.DefaultSettings()}.Execute()
 	}
-	runs := RunIndexed(2, func(i int) *Run { return build(i == 1) })
+	runs := par.Map(2, 0, func(i int) *Run { return build(i == 1) })
 	on, off := runs[0], runs[1]
 
 	spikeAt := Epoch.Add(4*24*time.Hour + 14*time.Hour)
@@ -240,7 +241,7 @@ func ValueOfLearning(seed int64) ValueOfLearningResult {
 	// The arms share nothing but the seed; run them across the worker
 	// pool and derive savings afterwards, once the static arm's spend is
 	// known.
-	rows := RunIndexed(len(arms), func(i int) ValueOfLearningRow {
+	rows := par.Map(len(arms), 0, func(i int) ValueOfLearningRow {
 		a := arms[i]
 		var daily, p99 float64
 		if a.ctl == nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"kwo/internal/core"
+	"kwo/internal/par"
 	"kwo/internal/policy"
 )
 
@@ -57,7 +58,7 @@ func Fig7(seed int64) Fig7Result {
 	preDays, kwoDays := 2, 4
 	sliders := []policy.Slider{policy.BestPerformance, policy.GoodPerformance,
 		policy.Balanced, policy.LowCost, policy.LowestCost}
-	rows := RunIndexed(len(sliders), func(i int) Fig7Row {
+	rows := par.Map(len(sliders), 0, func(i int) Fig7Row {
 		s := sliders[i]
 		cfg, gen := oversizedBI(1)
 		run := Scenario{

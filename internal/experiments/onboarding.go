@@ -7,6 +7,7 @@ import (
 
 	"kwo/internal/cdw"
 	"kwo/internal/core"
+	"kwo/internal/par"
 	"kwo/internal/policy"
 	"kwo/internal/workload"
 )
@@ -208,7 +209,7 @@ func SavingsBand(seed int64) SavingsBandResult {
 			gen: workload.AdHoc{Pool: adhocPool, BaseQPH: 4, DayVariance: 0.4},
 		},
 	}
-	rows := RunIndexed(len(archetypes), func(i int) SavingsBandRow {
+	rows := par.Map(len(archetypes), 0, func(i int) SavingsBandRow {
 		a := archetypes[i]
 		run := Scenario{Name: "band-" + a.name, Seed: seed + int64(i),
 			Orig: a.cfg, Gen: a.gen, PreDays: 3, KwoDays: 4}.Execute()

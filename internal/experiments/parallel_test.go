@@ -3,96 +3,18 @@ package experiments
 import (
 	"bytes"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
+
+	"kwo/internal/par"
 )
 
-func TestRunIndexedOrderAndCompleteness(t *testing.T) {
-	old := MaxWorkers
-	defer func() { MaxWorkers = old }()
-	for _, workers := range []int{1, 2, 7, 0} {
-		MaxWorkers = workers
-		got := RunIndexed(23, func(i int) int { return i * i })
-		if len(got) != 23 {
-			t.Fatalf("workers=%d: got %d results", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-	if got := RunIndexed(0, func(i int) int { return i }); got != nil {
-		t.Fatalf("n=0: got %v, want nil", got)
-	}
-}
-
-// RunIndexedN must honour its explicit worker argument and ignore the
-// package-level MaxWorkers knob entirely — that is its whole point: two
-// concurrent fan-outs in one process must not alias through package
-// state.
-func TestRunIndexedNIgnoresMaxWorkers(t *testing.T) {
-	old := MaxWorkers
-	defer func() { MaxWorkers = old }()
-	MaxWorkers = 1 // would serialize RunIndexed; RunIndexedN must not care
-	var inFlight atomic.Int64
-	release := make(chan struct{})
-	var once sync.Once
-	got := RunIndexedN(8, 4, func(i int) int {
-		// Every task blocks until a second task is observed in flight —
-		// deadlock-free only if RunIndexedN really runs 4 workers despite
-		// MaxWorkers = 1.
-		if inFlight.Add(1) >= 2 {
-			once.Do(func() { close(release) })
-		}
-		select {
-		case <-release:
-		case <-time.After(10 * time.Second):
-			t.Error("no concurrent task within 10s: MaxWorkers leaked into RunIndexedN")
-			once.Do(func() { close(release) })
-		}
-		inFlight.Add(-1)
-		return i * 3
-	})
-	for i, v := range got {
-		if v != i*3 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*3)
-		}
-	}
-}
-
-func TestRunIndexedBoundsConcurrency(t *testing.T) {
-	old := MaxWorkers
-	defer func() { MaxWorkers = old }()
-	MaxWorkers = 3
-	var inFlight, peak atomic.Int64
-	var mu sync.Mutex
-	RunIndexed(50, func(i int) struct{} {
-		n := inFlight.Add(1)
-		mu.Lock()
-		if n > peak.Load() {
-			peak.Store(n)
-		}
-		mu.Unlock()
-		inFlight.Add(-1)
-		return struct{}{}
-	})
-	if p := peak.Load(); p > 3 {
-		t.Fatalf("observed %d concurrent tasks, want ≤ 3", p)
-	}
-}
-
-// scenarioSnapshots runs four independent seeds through the pool and
-// returns each run's full telemetry snapshot.
+// scenarioSnapshots runs four independent seeds through a fan-out of
+// the given worker count and returns each run's full telemetry
+// snapshot.
 func scenarioSnapshots(t *testing.T, workers int) [][]byte {
 	t.Helper()
-	old := MaxWorkers
-	MaxWorkers = workers
-	defer func() { MaxWorkers = old }()
 	seeds := []int64{11, 12, 13, 14}
-	return RunIndexed(len(seeds), func(i int) []byte {
+	return par.Map(len(seeds), workers, func(i int) []byte {
 		cfg, gen := oversizedBI(1)
 		run := Scenario{Name: "par-det", Seed: seeds[i], Orig: cfg, Gen: gen,
 			PreDays: 1, KwoDays: 1}.Execute()
@@ -112,11 +34,11 @@ func TestParallelScenariosByteIdenticalToSequential(t *testing.T) {
 		t.Skip("multi-scenario simulation in -short mode")
 	}
 	seq := scenarioSnapshots(t, 1)
-	par := scenarioSnapshots(t, runtime.GOMAXPROCS(0))
+	conc := scenarioSnapshots(t, runtime.GOMAXPROCS(0))
 	for i := range seq {
-		if !bytes.Equal(seq[i], par[i]) {
+		if !bytes.Equal(seq[i], conc[i]) {
 			t.Fatalf("seed index %d: parallel snapshot (%d bytes) differs from sequential (%d bytes)",
-				i, len(par[i]), len(seq[i]))
+				i, len(conc[i]), len(seq[i]))
 		}
 	}
 }

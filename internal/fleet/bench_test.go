@@ -12,15 +12,14 @@ import (
 
 // benchConfig shapes a fleet for machinery benchmarks: one-minute
 // epochs keep per-epoch simulation work small, so the numbers weight
-// the fan-out/provisioning overhead the tentpole targets rather than
-// optimizer math.
+// the fan-out/provisioning overhead rather than optimizer math.
 func benchConfig(tenants, epochs int) Config {
 	return Config{
 		Tenants: tenants,
 		Seed:    7,
 		// Pinned (not per-CPU): on a single-core runner workers=0 would
-		// collapse both fan-out paths to inline execution and the
-		// pool-vs-respawn comparison would measure nothing.
+		// collapse the fan-out to inline execution and the benchmarks
+		// would not measure the pool at all.
 		Workers:     8,
 		Epochs:      epochs,
 		EpochLen:    time.Minute,
@@ -31,10 +30,8 @@ func benchConfig(tenants, epochs int) Config {
 
 // benchFleetEpoch measures steady-state RunEpoch cost at a given fleet
 // width, after the fleet is provisioned and the optimizers attached.
-func benchFleetEpoch(b *testing.B, tenants int, respawn bool) {
-	cfg := benchConfig(tenants, b.N+2)
-	cfg.respawnPool = respawn
-	f, err := New(cfg)
+func benchFleetEpoch(b *testing.B, tenants int) {
+	f, err := New(benchConfig(tenants, b.N+2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,22 +50,14 @@ func benchFleetEpoch(b *testing.B, tenants int, respawn bool) {
 	}
 }
 
-func BenchmarkFleetEpoch16(b *testing.B)   { benchFleetEpoch(b, 16, false) }
-func BenchmarkFleetEpoch256(b *testing.B)  { benchFleetEpoch(b, 256, false) }
-func BenchmarkFleetEpoch1024(b *testing.B) { benchFleetEpoch(b, 1024, false) }
+func BenchmarkFleetEpoch16(b *testing.B)   { benchFleetEpoch(b, 16) }
+func BenchmarkFleetEpoch256(b *testing.B)  { benchFleetEpoch(b, 256) }
+func BenchmarkFleetEpoch1024(b *testing.B) { benchFleetEpoch(b, 1024) }
 
-// *Naive* companions run the identical fleet through the
-// pre-optimization fan-out: a fresh goroutine spawn per epoch instead
-// of the persistent pool. The delta is what the pool buys.
-func BenchmarkFleetEpochNaive16(b *testing.B)   { benchFleetEpoch(b, 16, true) }
-func BenchmarkFleetEpochNaive256(b *testing.B)  { benchFleetEpoch(b, 256, true) }
-func BenchmarkFleetEpochNaive1024(b *testing.B) { benchFleetEpoch(b, 1024, true) }
-
-// benchProvision measures New — tenant provisioning — for a 64-tenant
-// fleet over a month of hourly epochs. Lazy provisioning defers the
-// arrival stream, so this is engine/profile setup; the Naive companion
-// pays whole-horizon generation up front.
-func benchProvision(b *testing.B, eager bool) {
+// BenchmarkFleetProvision measures New — tenant provisioning — for a
+// 64-tenant fleet over a month of hourly epochs. Lazy provisioning
+// defers the arrival stream, so this is engine/profile setup.
+func BenchmarkFleetProvision(b *testing.B) {
 	cfg := Config{
 		Tenants:  64,
 		Seed:     7,
@@ -76,7 +65,6 @@ func benchProvision(b *testing.B, eager bool) {
 		EpochLen: time.Hour,
 		Opts:     lightOpts(),
 	}
-	cfg.eagerProvision = eager
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,9 +75,6 @@ func benchProvision(b *testing.B, eager bool) {
 		f.Close()
 	}
 }
-
-func BenchmarkFleetProvision(b *testing.B)      { benchProvision(b, false) }
-func BenchmarkFleetProvisionNaive(b *testing.B) { benchProvision(b, true) }
 
 // scrapeRegs provisions a 1024-tenant fleet once (shared across the
 // scrape benchmarks — provisioning dwarfs the scrape under test) and
@@ -113,10 +98,8 @@ func scrapeFleetRegs(b *testing.B) []obs.LabeledRegistry {
 }
 
 // BenchmarkMergedScrape1024 measures one merged /metrics render across
-// 1024 live tenant registries through the streaming writer; the Naive
-// companion is the pre-streaming renderer that materializes the whole
-// exposition. allocs/op is the headline: streaming stays O(families),
-// naive scales with total series.
+// 1024 live tenant registries through the streaming writer. allocs/op
+// is the headline: streaming stays O(families), not O(total series).
 func BenchmarkMergedScrape1024(b *testing.B) {
 	regs := scrapeFleetRegs(b)
 	b.ReportAllocs()
@@ -128,22 +111,11 @@ func BenchmarkMergedScrape1024(b *testing.B) {
 	}
 }
 
-func BenchmarkMergedScrape1024Naive(b *testing.B) {
-	regs := scrapeFleetRegs(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := obs.WriteMergedPrometheusNaive(io.Discard, TenantLabel, regs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestLazyProvisioningMemoryFlat is the tentpole's memory claim as a
-// regression test: provisioning a fleet over a long horizon must NOT
-// materialize the horizon's arrivals. Heap growth from a lazy New is
-// required to be well under the eager path's, which holds a month of
-// arrival structs per tenant.
+// TestLazyProvisioningMemoryFlat guards lazy provisioning: New must
+// NOT materialize the horizon's arrivals. Heap growth from New over a
+// month of hourly epochs must stay within 1.25× the growth over one
+// day; materializing the horizon holds a month of arrival structs per
+// tenant and measured about 5× the one-day growth.
 func TestLazyProvisioningMemoryFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -151,20 +123,18 @@ func TestLazyProvisioningMemoryFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews heap accounting")
 	}
-	cfg := Config{
-		Tenants:  16,
-		Seed:     7,
-		Epochs:   720,
-		EpochLen: time.Hour,
-		Opts:     lightOpts(),
-	}
-	heapAfterNew := func(eager bool) uint64 {
-		c := cfg
-		c.eagerProvision = eager
+	heapAfterNew := func(epochs int) uint64 {
+		cfg := Config{
+			Tenants:  16,
+			Seed:     7,
+			Epochs:   epochs,
+			EpochLen: time.Hour,
+			Opts:     lightOpts(),
+		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		f, err := New(c)
+		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +147,11 @@ func TestLazyProvisioningMemoryFlat(t *testing.T) {
 		}
 		return after.HeapAlloc - before.HeapAlloc
 	}
-	lazy := heapAfterNew(false)
-	eager := heapAfterNew(true)
-	if lazy*2 > eager {
-		t.Errorf("lazy provisioning holds %d bytes, eager %d — lazy should be well under half (arrival horizon not deferred?)",
-			lazy, eager)
+	day := heapAfterNew(24)
+	month := heapAfterNew(720)
+	if month*4 > day*5 {
+		t.Errorf("New over 720 epochs holds %d bytes, over 24 epochs %d — want ≤ 1.25× (arrival horizon not deferred?)",
+			month, day)
 	}
-	t.Logf("heap after New: lazy=%d eager=%d", lazy, eager)
+	t.Logf("heap after New: 24 epochs=%d 720 epochs=%d", day, month)
 }

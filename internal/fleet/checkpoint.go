@@ -16,8 +16,8 @@ package fleet
 // deterministically re-executes epochs 1..k — the determinism contract
 // the fleet already holds is what makes this exact — then verifies the
 // replayed state against the checkpoint field by field before handing
-// the fleet back. Replay is cheap relative to re-running the whole
-// horizon and, critically, cannot drift silently: any divergence
+// the fleet back. Replay costs about as much as the epochs it
+// re-executes, but it cannot drift silently: any divergence
 // (version skew, config mismatch, tampered file) fails loudly at resume
 // time rather than corrupting the continued run. External alert
 // delivery is muted during replay so a resumed run never re-pages for

@@ -4,9 +4,9 @@
 // seeded by a deterministic per-tenant split of one fleet seed — and
 // advances them concurrently through a bounded worker pool in lock-step
 // epochs. Results are byte-identical for any worker count: the same
-// determinism contract experiments.RunIndexed pins for experiment arms,
-// extended to a whole SaaS fleet (the paper's Figure 1 deployment
-// shape: one service optimizing many customers' warehouses at once).
+// determinism contract par.Map pins for experiment arms, extended to a
+// whole SaaS fleet (the paper's Figure 1 deployment shape: one service
+// optimizing many customers' warehouses at once).
 //
 // Cross-fleet aggregation rolls per-tenant spend/savings/latency/health
 // into fleet KPIs with the top-K regressed tenants, and the merged obs
@@ -23,8 +23,8 @@ import (
 
 	"kwo/internal/cdw"
 	"kwo/internal/core"
-	"kwo/internal/experiments"
 	"kwo/internal/obs"
+	"kwo/internal/par"
 )
 
 // Config shapes a fleet run. The zero value is not runnable; New
@@ -107,16 +107,6 @@ type Config struct {
 	// Params are the simulated CDW physical constants; the zero value
 	// means cdw.DefaultSimParams().
 	Params cdw.SimParams
-
-	// respawnPool reverts fan-out to experiments.RunIndexedN — a fresh
-	// set of goroutines per epoch instead of the fleet's persistent
-	// pool. Unexported: only the in-package *Naive* benchmarks set it,
-	// to measure what the persistent pool buys.
-	respawnPool bool
-	// eagerProvision reverts workload provisioning to one whole-horizon
-	// Generate+Drive per tenant at New time, instead of lazy per-epoch
-	// cursor chunks. Unexported, benchmark-only, as above.
-	eagerProvision bool
 }
 
 // withDefaults returns the config with defaults applied, or an error
@@ -211,7 +201,7 @@ func (c Config) withDefaults() (Config, error) {
 type Fleet struct {
 	cfg       Config
 	tenants   []*tenant
-	pool      *experiments.Pool
+	pool      *par.Pool
 	plane     *obsPlane
 	start     time.Time
 	epoch     int
@@ -239,33 +229,18 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, pool: experiments.NewPool(cfg.Workers)}
+	f := &Fleet{cfg: cfg, pool: par.NewPool(cfg.Workers)}
 	ids := tenantIDs(cfg.Tenants)
 	f.tenants = make([]*tenant, cfg.Tenants)
 	// Provisioning fans out through the same bounded pool as epochs:
 	// building 64 tenants' engines and first-epoch arrival chunks is
 	// the most expensive single step of a short run.
-	f.fanout(cfg.Tenants, func(i int) {
+	f.pool.Run(cfg.Tenants, func(i int) {
 		f.tenants[i] = newTenant(i, ids[i], TenantSeed(cfg.Seed, i), cfg)
 	})
 	f.start = f.tenants[0].start
 	f.plane = newObsPlane(cfg, f.start)
 	return f, nil
-}
-
-// fanout runs fn(i) for i in [0, n) across the fleet's persistent
-// worker pool (or, under the benchmark-only respawnPool knob, a fresh
-// RunIndexedN spawn). Tenants are independent, so any schedule is
-// correct; results land by index, so output never depends on timing.
-func (f *Fleet) fanout(n int, fn func(i int)) {
-	if f.cfg.respawnPool {
-		experiments.RunIndexedN(n, f.cfg.Workers, func(i int) struct{} {
-			fn(i)
-			return struct{}{}
-		})
-		return
-	}
-	f.pool.Run(n, fn)
 }
 
 // Close releases the fleet's worker pool goroutines. Idempotent — a
@@ -319,7 +294,7 @@ func (f *Fleet) RunEpoch() error {
 	}
 	epochNo := f.epoch + 1
 	target := f.start.Add(time.Duration(epochNo) * f.cfg.EpochLen)
-	f.fanout(len(f.tenants), func(i int) {
+	f.pool.Run(len(f.tenants), func(i int) {
 		f.stepTenant(f.tenants[i], epochNo, target)
 	})
 	f.epoch = epochNo
@@ -396,7 +371,7 @@ func (f *Fleet) Run() (*Report, error) {
 	}
 	if !f.done {
 		f.done = true
-		f.fanout(len(f.tenants), func(i int) {
+		f.pool.Run(len(f.tenants), func(i int) {
 			// A quarantined tenant is never touched again — its KPI row
 			// was frozen at the quarantine epoch.
 			if !f.tenants[i].quarantined() {
@@ -415,7 +390,7 @@ func (f *Fleet) Run() (*Report, error) {
 // deterministic regardless of which worker finished when.
 func (f *Fleet) report() *Report {
 	kpis := make([]TenantKPI, len(f.tenants))
-	f.fanout(len(f.tenants), func(i int) {
+	f.pool.Run(len(f.tenants), func(i int) {
 		kpis[i] = f.tenants[i].kpi()
 	})
 	return rollup(f.cfg, kpis)

@@ -246,7 +246,7 @@ type tenant struct {
 	start      time.Time
 	attachAt   time.Time
 	horizonEnd time.Time
-	cursor     workload.Cursor // nil once the stream is exhausted (or when eager)
+	cursor     workload.Cursor // nil once the stream is exhausted
 	scheduled  int
 	attachErr  error
 	wdraws     *countingSource // workload RNG stream position
@@ -344,8 +344,7 @@ func newTenant(idx int, id string, seed int64, cfg Config) *tenant {
 	// whole horizon here: resident arrivals stay O(epoch) per tenant.
 	// The cursor consumes the identical seeded RNG stream a
 	// whole-horizon Generate call would, so the query sequence — and
-	// every downstream fingerprint — is unchanged (the eagerProvision
-	// knob keeps the old path alive for benchmarks to prove it).
+	// every downstream fingerprint — is unchanged.
 	gen := t.prof.generator()
 	t.horizonEnd = t.start.Add(horizon)
 	// The workload source is wrapped to count draws — the checkpointed
@@ -353,12 +352,7 @@ func newTenant(idx int, id string, seed int64, cfg Config) *tenant {
 	// so the stream is bit-identical to the plain Rand derivation.
 	t.wdraws = &countingSource{src: rand.NewSource(t.sched.SeedFor("fleet:workload:" + gen.Name())).(rand.Source64)}
 	wrng := rand.New(t.wdraws)
-	if cfg.eagerProvision {
-		arr := gen.Generate(t.start, t.horizonEnd, wrng)
-		t.scheduled, _ = workload.Drive(t.sched, t.acct, warehouseName, arr)
-	} else {
-		t.cursor = workload.NewCursor(gen, t.start, t.horizonEnd, wrng)
-	}
+	t.cursor = workload.NewCursor(gen, t.start, t.horizonEnd, wrng)
 
 	opts := cfg.Opts
 	opts.Obs = t.hub
@@ -444,8 +438,8 @@ func (t *tenant) advanceTo(target time.Time) {
 // the tenant's current time (the cursor's chunk-containment contract),
 // so nothing is dropped; on the final epoch the cursor also flushes
 // jitter overflow past the horizon, keeping the scheduled count equal
-// to the eager path's (those trailing events are scheduled but never
-// run, exactly as before).
+// to a whole-horizon Generate's (those trailing events are scheduled
+// but never run).
 func (t *tenant) provisionTo(target time.Time) {
 	if t.cursor == nil {
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,61 @@ func mergeTestRegistry(idx, series int) *Registry {
 		}
 	}
 	return r
+}
+
+// writeMergedPrometheusNaive is the pre-streaming implementation: it
+// renders every registry's families into one in-memory string while
+// holding each registry lock, O(total series) peak. It is the oracle
+// the streaming renderer is compared against.
+func writeMergedPrometheusNaive(w io.Writer, labelName string, regs []LabeledRegistry) error {
+	type meta struct {
+		help   string
+		typ    MetricType
+		labels []string
+	}
+	metas := make(map[string]meta)
+	names := make([]string, 0)
+	for _, lr := range regs {
+		r := lr.Registry
+		if r == nil {
+			continue
+		}
+		r.mu.Lock()
+		for n, f := range r.families {
+			m, ok := metas[n]
+			if !ok {
+				metas[n] = meta{help: f.help, typ: f.typ, labels: f.labels}
+				names = append(names, n)
+				continue
+			}
+			if m.typ != f.typ || !slices.Equal(m.labels, f.labels) {
+				r.mu.Unlock()
+				return fmt.Errorf("obs: family %q disagrees across registries (type %v/%v, labels %v/%v)",
+					n, m.typ, f.typ, m.labels, f.labels)
+			}
+		}
+		r.mu.Unlock()
+	}
+	slices.Sort(names)
+	var b strings.Builder
+	for _, n := range names {
+		m := metas[n]
+		fmt.Fprintf(&b, "# HELP %s %s\n", n, escapeHelp(m.help))
+		fmt.Fprintf(&b, "# TYPE %s %s\n", n, m.typ)
+		for _, lr := range regs {
+			r := lr.Registry
+			if r == nil {
+				continue
+			}
+			r.mu.Lock()
+			if f, ok := r.families[n]; ok {
+				writeFamilySeries(&b, f, labelName, lr.Label)
+			}
+			r.mu.Unlock()
+		}
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 func mergeTestRegs(n, series int) []LabeledRegistry {
@@ -53,7 +109,7 @@ func TestMergedStreamingMatchesNaive(t *testing.T) {
 		if err := WriteMergedPrometheus(&fast, labelName, regs); err != nil {
 			t.Fatalf("streaming (label %q): %v", labelName, err)
 		}
-		if err := WriteMergedPrometheusNaive(&naive, labelName, regs); err != nil {
+		if err := writeMergedPrometheusNaive(&naive, labelName, regs); err != nil {
 			t.Fatalf("naive (label %q): %v", labelName, err)
 		}
 		if !bytes.Equal(fast.Bytes(), naive.Bytes()) {
@@ -102,7 +158,7 @@ func TestMergedLabelNameMismatch(t *testing.T) {
 	if !strings.Contains(err.Error(), "warehouse") || !strings.Contains(err.Error(), "kind") {
 		t.Errorf("error should name both label sets, got: %v", err)
 	}
-	if naiveErr := WriteMergedPrometheusNaive(io.Discard, "tenant", regs); naiveErr == nil {
+	if naiveErr := writeMergedPrometheusNaive(io.Discard, "tenant", regs); naiveErr == nil {
 		t.Error("naive reference renderer missed the label-name mismatch")
 	}
 }

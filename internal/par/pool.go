@@ -1,4 +1,9 @@
-package experiments
+// Package par is the repository's one goroutine fan-out primitive: a
+// bounded worker pool that evaluates fn(0), …, fn(n-1) with results
+// landing by index, so parallelism changes wall-clock time, never
+// output. It is a leaf package — it imports nothing from the module —
+// so any layer can fan out without pulling in another layer's code.
+package par
 
 import (
 	"runtime"
@@ -6,19 +11,17 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent bounded worker pool for index fan-outs: the same
-// contract as RunIndexedN — fn(0), …, fn(n-1) evaluated across at most
-// Workers() goroutines, results deterministic because each index writes
-// only its own slot — but the goroutines are created once and reused
-// across rounds instead of being respawned per call. A fleet running
-// thousands of lock-step epochs pays the spawn cost once, keeps worker
-// stacks warm, and lets callers pin per-worker scratch to the worker
-// index RunWorkers exposes.
+// Pool is a persistent bounded worker pool for index fan-outs: fn(0),
+// …, fn(n-1) evaluated across at most the pool's worker count of
+// goroutines, results deterministic because each index writes only its
+// own slot. The goroutines are created once and reused across rounds
+// instead of being respawned per call, so a fleet running thousands of
+// lock-step epochs pays the spawn cost once and keeps worker stacks
+// warm.
 //
-// A Pool is owned by a single driving goroutine: Run, RunWorkers and
-// Close must not be called concurrently with each other. The fn
-// callbacks themselves run concurrently on the workers, exactly as with
-// RunIndexedN.
+// A Pool is owned by a single driving goroutine: Run and Close must not
+// be called concurrently with each other. The fn callbacks themselves
+// run concurrently on the workers.
 type Pool struct {
 	workers int
 	rounds  []chan *poolRound
@@ -29,7 +32,7 @@ type Pool struct {
 // exhausted, then check in on wg.
 type poolRound struct {
 	n    int
-	fn   func(worker, i int)
+	fn   func(i int)
 	next atomic.Int64
 	wg   sync.WaitGroup
 }
@@ -49,7 +52,6 @@ func NewPool(workers int) *Pool {
 	for k := range p.rounds {
 		ch := make(chan *poolRound, 1)
 		p.rounds[k] = ch
-		worker := k
 		go func() {
 			for r := range ch {
 				for {
@@ -57,7 +59,7 @@ func NewPool(workers int) *Pool {
 					if i >= r.n {
 						break
 					}
-					r.fn(worker, i)
+					r.fn(i)
 				}
 				r.wg.Done()
 			}
@@ -66,26 +68,16 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run evaluates fn(0), …, fn(n-1) across the pool and returns when all
 // calls have completed. Results are index-deterministic: parallelism
 // changes wall-clock time, never which fn call handles which index.
 func (p *Pool) Run(n int, fn func(i int)) {
-	p.RunWorkers(n, func(_, i int) { fn(i) })
-}
-
-// RunWorkers is Run with the worker index (0 … Workers()-1) passed to
-// fn, so callers can reuse per-worker scratch across indices without
-// locking: at most one index runs on a given worker at a time.
-func (p *Pool) RunWorkers(n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
 	if p == nil || p.closed || p.workers == 1 || n == 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -101,8 +93,8 @@ func (p *Pool) RunWorkers(n int, fn func(worker, i int)) {
 	r.wg.Wait()
 }
 
-// Close releases the worker goroutines. Close is idempotent; Run and
-// RunWorkers on a closed pool execute inline on the calling goroutine.
+// Close releases the worker goroutines. Close is idempotent; Run on a
+// closed pool executes inline on the calling goroutine.
 func (p *Pool) Close() {
 	if p == nil || p.closed {
 		return
@@ -111,4 +103,22 @@ func (p *Pool) Close() {
 	for _, ch := range p.rounds {
 		close(ch)
 	}
+}
+
+// Map evaluates fn(0), …, fn(n-1) on a transient Pool of at most
+// workers goroutines (workers <= 0 means one per CPU) and returns the
+// results in index order, or nil when n <= 0. It is for one-shot
+// fan-outs; a caller that fans out repeatedly should own a Pool.
+func Map[T any](n, workers int, fn func(i int) T) []T {
+	if n <= 0 {
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	out := make([]T, n)
+	p := NewPool(min(workers, n))
+	defer p.Close()
+	p.Run(n, func(i int) { out[i] = fn(i) })
+	return out
 }

@@ -1,4 +1,4 @@
-package experiments
+package par
 
 import (
 	"sync"
@@ -24,12 +24,29 @@ func TestPoolOrderAndCompleteness(t *testing.T) {
 	}
 }
 
-func TestPoolBoundsConcurrency(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
+func TestMapOrderAndCompleteness(t *testing.T) {
+	for _, workers := range []int{1, 2, 7, 0} {
+		got := Map(23, workers, func(i int) int { return i * i })
+		if len(got) != 23 {
+			t.Fatalf("workers=%d: got %d results", workers, len(got))
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
+			}
+		}
+		if got := Map(0, workers, func(i int) int { return i }); got != nil {
+			t.Fatalf("workers=%d n=0: got %v, want nil", workers, got)
+		}
+	}
+}
+
+// peakConcurrency runs fanout over a task that tracks how many tasks are
+// in flight at once and returns the highest count observed.
+func peakConcurrency(fanout func(fn func(i int))) int64 {
 	var inFlight, peak atomic.Int64
 	var mu sync.Mutex
-	p.Run(50, func(i int) {
+	fanout(func(i int) {
 		n := inFlight.Add(1)
 		mu.Lock()
 		if n > peak.Load() {
@@ -38,7 +55,22 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		mu.Unlock()
 		inFlight.Add(-1)
 	})
-	if got := peak.Load(); got > 3 {
+	return peak.Load()
+}
+
+func TestPoolBoundsConcurrency(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	if got := peakConcurrency(func(fn func(i int)) { p.Run(50, fn) }); got > 3 {
+		t.Fatalf("observed %d concurrent tasks, want ≤ 3", got)
+	}
+}
+
+func TestMapBoundsConcurrency(t *testing.T) {
+	got := peakConcurrency(func(fn func(i int)) {
+		Map(50, 3, func(i int) struct{} { fn(i); return struct{}{} })
+	})
+	if got > 3 {
 		t.Fatalf("observed %d concurrent tasks, want ≤ 3", got)
 	}
 }
@@ -69,34 +101,6 @@ func TestPoolRunsConcurrently(t *testing.T) {
 		if v != i*3 {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*3)
 		}
-	}
-}
-
-// RunWorkers pins at most one in-flight index per worker id, so
-// per-worker scratch needs no locking.
-func TestPoolWorkerScratchIsolation(t *testing.T) {
-	const workers = 4
-	p := NewPool(workers)
-	defer p.Close()
-	busy := make([]atomic.Bool, workers)
-	counts := make([]atomic.Int64, workers)
-	p.RunWorkers(200, func(worker, i int) {
-		if worker < 0 || worker >= workers {
-			t.Errorf("worker id %d outside [0,%d)", worker, workers)
-			return
-		}
-		if !busy[worker].CompareAndSwap(false, true) {
-			t.Errorf("worker %d entered twice concurrently", worker)
-		}
-		counts[worker].Add(1)
-		busy[worker].Store(false)
-	})
-	var total int64
-	for k := range counts {
-		total += counts[k].Load()
-	}
-	if total != 200 {
-		t.Fatalf("ran %d indices, want 200", total)
 	}
 }
 
@@ -139,8 +143,8 @@ func TestPoolRunAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// benchFn is a tiny unit of work so the fan-out benchmarks measure
-// machinery (spawn vs reuse), not payload.
+// benchFn is a tiny unit of work so the fan-out benchmark measures the
+// pool's machinery, not payload.
 var benchSink atomic.Int64
 
 func benchFn(i int) { benchSink.Add(int64(i)) }
@@ -154,18 +158,5 @@ func BenchmarkPoolRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Run(256, benchFn)
-	}
-}
-
-// BenchmarkPoolRoundNaive is the pre-pool path: RunIndexedN spawns a
-// fresh set of 8 goroutines for every round.
-func BenchmarkPoolRoundNaive(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunIndexedN(256, 8, func(i int) struct{} {
-			benchFn(i)
-			return struct{}{}
-		})
 	}
 }

@@ -1,6 +1,6 @@
 //go:build race
 
-package experiments
+package par
 
 // raceEnabled reports whether the race detector is compiled in; the
 // allocation-regression tests skip under -race because instrumentation

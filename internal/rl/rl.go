@@ -195,8 +195,9 @@ func (a *Agent) Observe(tr ml.Transition) float64 {
 	return a.trainStep()
 }
 
-// trainStep samples a minibatch and applies one DQN update, returning
-// the mean TD loss.
+// trainStep samples a minibatch of BatchSize transitions and applies
+// one single-sample SGD step per transition, in sequence (not one
+// averaged minibatch gradient), returning the mean TD loss.
 func (a *Agent) trainStep() float64 {
 	batch := a.buf.Sample(a.rng, a.cfg.BatchSize)
 	if len(batch) == 0 {
