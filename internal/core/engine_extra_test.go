@@ -5,7 +5,10 @@ import (
 	"time"
 
 	"kwo/internal/cdw"
+	"kwo/internal/costmodel"
+	"kwo/internal/obs"
 	"kwo/internal/policy"
+	"kwo/internal/pricing"
 	"kwo/internal/simclock"
 	"kwo/internal/workload"
 )
@@ -145,5 +148,100 @@ func TestBillingHistoryIngested(t *testing.T) {
 	// Pre-attach history was back-filled too.
 	if log.BillingBetween(t0, sc.attach) <= 0 {
 		t.Fatal("pre-attach billing history not back-filled")
+	}
+}
+
+// invoiceHook adapts a function to obs.Sink; the bus calls it
+// synchronously from Emit, so it observes the engine mid-bill.
+type invoiceHook func(obs.Event)
+
+func (f invoiceHook) Emit(ev obs.Event) { f(ev) }
+
+// TestInvoicesPriceWithReplay checks every invoice's counterfactual is
+// exactly one Model.Replay over the invoice period, computed with the
+// model in effect when the invoice was cut — on an auto-suspending
+// warehouse and on an always-on (AUTO_SUSPEND=0) one, with a retrain
+// inside every billing period so no invoice is priced by the model its
+// period started under.
+func TestInvoicesPriceWithReplay(t *testing.T) {
+	sched := simclock.NewScheduler(35)
+	acct := cdw.NewAccount(sched, cdw.DefaultSimParams())
+	opts := testOptions()
+	opts.TrainEvery = 5 * time.Hour // never coincides with a 24h bill
+	opts.BillEvery = 24 * time.Hour
+	engine := NewEngine(acct, opts)
+	biPool, _, adhocPool := workload.StandardPools()
+	cfgs := []cdw.Config{
+		{Name: "SUSPENDING", Size: cdw.SizeLarge, MinClusters: 1, MaxClusters: 2,
+			AutoSuspend: 10 * time.Minute, AutoResume: true},
+		{Name: "ALWAYS_ON", Size: cdw.SizeMedium, MinClusters: 1, MaxClusters: 1,
+			AutoSuspend: 0, AutoResume: true},
+	}
+	for _, cfg := range cfgs {
+		if _, err := acct.CreateWarehouse(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := t0.Add(4 * 24 * time.Hour)
+	workload.Drive(sched, acct, "SUSPENDING",
+		workload.BI{Pool: biPool, PeakQPH: 60, WeekendFactor: 0.3}.Generate(t0, end, sched.Rand("bi")))
+	workload.Drive(sched, acct, "ALWAYS_ON",
+		workload.AdHoc{Pool: adhocPool, BaseQPH: 30, BurstsPerDay: 2, BurstQPH: 200,
+			BurstLen: 20 * time.Minute, MonthEndFactor: 1}.Generate(t0, end, sched.Rand("adhoc")))
+	sched.RunUntil(t0.Add(24 * time.Hour))
+
+	type check struct {
+		inv   pricing.Invoice
+		model *costmodel.Model
+		want  float64
+	}
+	var checks []check
+	engine.Obs().Bus.AddSink(invoiceHook(func(ev obs.Event) {
+		if ev.Kind != obs.EventInvoice {
+			return
+		}
+		invs := engine.Ledger().Invoices()
+		inv := invs[len(invs)-1]
+		sm, err := engine.Model(inv.Warehouse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost := sm.CostModel()
+		if cost == nil {
+			t.Fatalf("invoice for %s cut with no trained cost model", inv.Warehouse)
+		}
+		want := cost.Replay(engine.Store().Log(inv.Warehouse), inv.From, inv.To).Credits
+		checks = append(checks, check{inv, cost, want})
+	}))
+	prev := map[string]*costmodel.Model{} // model the previous period ended under
+	for _, cfg := range cfgs {
+		sm, err := engine.Attach(cfg.Name, DefaultSettings())
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev[cfg.Name] = sm.CostModel()
+	}
+	engine.Start()
+	sched.RunUntil(end)
+
+	perWH := map[string]int{}
+	for i, c := range checks {
+		if c.inv.EstimatedWithoutKeebo != c.want {
+			t.Fatalf("invoice %d (%s %v..%v): without = %v, Replay = %v",
+				i, c.inv.Warehouse, c.inv.From, c.inv.To, c.inv.EstimatedWithoutKeebo, c.want)
+		}
+		if c.model == prev[c.inv.Warehouse] {
+			t.Fatalf("invoice %d (%s): no retrain inside the billing period", i, c.inv.Warehouse)
+		}
+		prev[c.inv.Warehouse] = c.model
+		perWH[c.inv.Warehouse]++
+	}
+	for _, cfg := range cfgs {
+		if perWH[cfg.Name] < 2 {
+			t.Fatalf("%s: %d invoices, want at least 2", cfg.Name, perWH[cfg.Name])
+		}
+	}
+	if n := len(engine.Ledger().Invoices()); n != len(checks) {
+		t.Fatalf("hook saw %d invoices, ledger has %d", len(checks), n)
 	}
 }

@@ -41,39 +41,8 @@ func benchReplaySetup(b *testing.B) (*Model, *telemetry.WarehouseLog, time.Time)
 	return m, log, end
 }
 
-// BenchmarkRollingReplayCursor100k is the monitor's real access
-// pattern: the savings window grows by an hour at a time and each
-// refresh replays [start, now). One op is a full rolling sweep over the
-// 100k-record log using the incremental cursor.
-func BenchmarkRollingReplayCursor100k(b *testing.B) {
-	m, log, end := benchReplaySetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cur := NewReplayCursor(m, log, t0)
-		var r ReplayResult
-		for at := t0.Add(time.Hour); at.Before(end); at = at.Add(time.Hour) {
-			r = cur.Advance(at)
-		}
-		sinkReplay = r
-	}
-}
-
-// BenchmarkRollingReplayScratch100k is the same sweep recomputed from
-// scratch each hour, the pre-cursor behavior.
-func BenchmarkRollingReplayScratch100k(b *testing.B) {
-	m, log, end := benchReplaySetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var r ReplayResult
-		for at := t0.Add(time.Hour); at.Before(end); at = at.Add(time.Hour) {
-			r = m.Replay(log, t0, at)
-		}
-		sinkReplay = r
-	}
-}
-
-// BenchmarkReplayFull100k is a single full-window replay, the unit of
-// work the scratch sweep repeats per step.
+// BenchmarkReplayFull100k is one bill-sized replay: the engine prices
+// each invoice with a single from-scratch Replay over the period.
 func BenchmarkReplayFull100k(b *testing.B) {
 	m, log, end := benchReplaySetup(b)
 	b.ResetTimer()

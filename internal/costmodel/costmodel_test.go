@@ -208,30 +208,65 @@ func TestReplayCountsIdleAndMinimums(t *testing.T) {
 }
 
 func TestReplayBridgesShortGaps(t *testing.T) {
-	cfg := cdw.Config{
-		Name: "W", Size: cdw.SizeXSmall, MinClusters: 1, MaxClusters: 1,
-		AutoSuspend: 10 * time.Minute, AutoResume: true,
+	// Each case's arrivals all bridge under auto-suspend, so the replay
+	// is one busy period billed from the first submission to the last
+	// completion plus the trailing auto-suspend interval.
+	burstFrom := t0.Add(7*time.Minute + 13*time.Second) // off the mini-window grid
+	cases := []struct {
+		name     string
+		cfg      cdw.Config
+		from, to time.Time
+		first    time.Time // first submission
+		n        int
+		every    time.Duration
+		exec     time.Duration
+		wantSecs float64
+	}{
+		{
+			// Queries every 5 minutes: gaps shorter than auto-suspend.
+			// Active: 55min span + 10s + 10min trailing suspend.
+			name: "every-5min",
+			cfg: cdw.Config{Name: "W", Size: cdw.SizeXSmall, MinClusters: 1, MaxClusters: 1,
+				AutoSuspend: 10 * time.Minute, AutoResume: true},
+			from: t0, to: t0.Add(2 * time.Hour), first: t0,
+			n: 12, every: 5 * time.Minute, exec: 10 * time.Second,
+			wantSecs: 55*60 + 10 + 10*60,
+		},
+		{
+			// A dense burst starting off-grid on a multi-cluster
+			// warehouse: one busy period spanning many mini-windows.
+			// Active: 90s..(90s + 39·20s + 45s) + 3min suspend = 1005s.
+			name: "off-grid-burst",
+			cfg: cdw.Config{Name: "W", Size: cdw.SizeSmall, MinClusters: 1, MaxClusters: 3,
+				AutoSuspend: 3 * time.Minute, AutoResume: true},
+			from: burstFrom, to: burstFrom.Add(5 * time.Hour), first: burstFrom.Add(90 * time.Second),
+			n: 40, every: 20 * time.Second, exec: 45 * time.Second,
+			wantSecs: 39*20 + 45 + 3*60,
+		},
 	}
-	log := &telemetry.WarehouseLog{Name: "W"}
-	// Queries every 5 minutes: gaps shorter than auto-suspend → one
-	// continuous busy period.
-	for i := 0; i < 12; i++ {
-		at := t0.Add(time.Duration(i) * 5 * time.Minute)
-		log.Queries = append(log.Queries, cdw.QueryRecord{
-			Warehouse: "W", SubmitTime: at, StartTime: at,
-			EndTime:      at.Add(10 * time.Second),
-			ExecDuration: 10 * time.Second, Size: cdw.SizeXSmall, Clusters: 1,
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &telemetry.WarehouseLog{Name: "W"}
+			for i := 0; i < tc.n; i++ {
+				at := tc.first.Add(time.Duration(i) * tc.every)
+				log.Queries = append(log.Queries, cdw.QueryRecord{
+					Warehouse: "W", TemplateHash: uint64(i % 3),
+					SubmitTime: at, StartTime: at, EndTime: at.Add(tc.exec),
+					ExecDuration: tc.exec, Size: tc.cfg.Size, Clusters: 1,
+				})
+			}
+			m := Train(log, tc.cfg, t0, tc.to, 8)
+			res := m.Replay(log, tc.from, tc.to)
+			if res.Resumes != 1 {
+				t.Fatalf("resumes = %d, want 1 (continuous)", res.Resumes)
+			}
+			if res.Queries != tc.n {
+				t.Fatalf("queries = %d, want %d", res.Queries, tc.n)
+			}
+			if res.ActiveSeconds != tc.wantSecs {
+				t.Fatalf("active seconds = %v, want %v", res.ActiveSeconds, tc.wantSecs)
+			}
 		})
-	}
-	m := Train(log, cfg, t0, t0.Add(2*time.Hour), 8)
-	res := m.Replay(log, t0, t0.Add(2*time.Hour))
-	if res.Resumes != 1 {
-		t.Fatalf("resumes = %d, want 1 (continuous)", res.Resumes)
-	}
-	// Active: 55min span + 10s + 10min trailing suspend ≈ 65min.
-	wantSecs := 55*60 + 10 + 10*60.0
-	if math.Abs(res.ActiveSeconds-wantSecs) > 30 {
-		t.Fatalf("active seconds = %v, want ~%v", res.ActiveSeconds, wantSecs)
 	}
 }
 
@@ -269,25 +304,6 @@ func TestReplayScalesExecAcrossSizes(t *testing.T) {
 	want := (execWant + 60) / 3600 * 8
 	if math.Abs(res.Credits-want) > 0.05 {
 		t.Fatalf("credits = %v, want ~%v", res.Credits, want)
-	}
-}
-
-func TestEstimateSavings(t *testing.T) {
-	cfg := cdw.Config{
-		Name: "W", Size: cdw.SizeXSmall, MinClusters: 1, MaxClusters: 1,
-		AutoSuspend: time.Minute, AutoResume: true,
-	}
-	log := &telemetry.WarehouseLog{Name: "W"}
-	log.Queries = append(log.Queries, cdw.QueryRecord{
-		Warehouse: "W", SubmitTime: t0, StartTime: t0,
-		EndTime:      t0.Add(time.Minute),
-		ExecDuration: time.Minute, Size: cdw.SizeXSmall, Clusters: 1,
-	})
-	m := Train(log, cfg, t0, t0.Add(time.Hour), 8)
-	replayed := m.Replay(log, t0, t0.Add(time.Hour)).Credits
-	savings := m.EstimateSavings(log, replayed-0.01, t0, t0.Add(time.Hour))
-	if math.Abs(savings-0.01) > 1e-9 {
-		t.Fatalf("savings = %v, want 0.01", savings)
 	}
 }
 

@@ -40,9 +40,9 @@ type busyPeriod struct {
 // rule (per-start minimum floor, then quantum round-up). Because
 // busy-period starts strictly increase and each period begins after the
 // previous one's auto-suspend fired, billed starts AND billed ends are
-// strictly increasing across periods — which is what lets replay and
-// the cursor find the intervals overlapping a window with a rolling
-// index instead of a scan.
+// strictly increasing across periods — which is what lets replay find
+// the intervals overlapping a window with a rolling index instead of a
+// scan.
 type billedIv struct {
 	start, end time.Time
 }
@@ -112,8 +112,7 @@ func (m *Model) windowCredits(activeSecs float64, w, wEnd time.Time, n int, sumE
 // Cost is O(R log N + W): the record range is a binary-searched view
 // of the submit index, and the pricing pass walks records and billed
 // intervals with rolling pointers rather than rescanning them per
-// window. For a rolling estimate over a growing range, use
-// ReplayCursor, which reuses the busy-period state between calls.
+// window.
 func (m *Model) Replay(log *telemetry.WarehouseLog, from, to time.Time) ReplayResult {
 	res := ReplayResult{From: from, To: to}
 	recs := log.SubmittedBetween(from, to)

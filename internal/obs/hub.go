@@ -20,7 +20,6 @@ const (
 	MetricInvoiceCharge       = "kwo_invoice_charge_credits_total"
 	MetricTrainings           = "kwo_trainings_total"
 	MetricReplays             = "kwo_replays_total"
-	MetricCursorRebuilds      = "kwo_replay_cursor_rebuilds_total"
 	MetricMonitorSpikes       = "kwo_monitor_spikes_total"
 	MetricMonitorReverts      = "kwo_monitor_reverts_total"
 	MetricQueries             = "kwo_telemetry_queries_total"
@@ -43,6 +42,14 @@ const (
 	MetricSLOPass             = "kwo_slo_pass"
 )
 
+// MetricCursorRebuilds named the rebuild counter of the retired
+// incremental replay cursor.
+//
+// Deprecated: no family registers this name any more, so
+// Registry.CounterSum returns 0 for it. It stays exported only because
+// the benchmark harness in perfbench still reads it.
+const MetricCursorRebuilds = "kwo_replay_cursor_rebuilds_total"
+
 // Hub bundles the metrics registry and the event bus and pre-registers
 // the full KWO metric catalog, so the ops endpoint exposes every
 // metric (at zero) from the first scrape. One hub is shared by the
@@ -59,8 +66,7 @@ type Hub struct {
 	Degraded            *GaugeVec   // warehouse
 	IngestFailures      *CounterVec // warehouse
 	Trainings           *CounterVec // warehouse
-	Replays             *CounterVec // warehouse, mode=incremental|scratch
-	CursorRebuilds      *CounterVec // warehouse
+	Replays             *CounterVec // warehouse, mode=scratch
 	Invoices            *CounterVec // warehouse
 	InvoiceActual       *CounterVec // warehouse
 	InvoiceSavings      *CounterVec // warehouse
@@ -122,9 +128,7 @@ func NewHub(clock func() time.Time) *Hub {
 	h.Trainings = r.NewCounterVec(MetricTrainings,
 		"Smart-model training rounds completed.", "warehouse")
 	h.Replays = r.NewCounterVec(MetricReplays,
-		"Cost-model replays by mode (incremental cursor vs from scratch).", "warehouse", "mode")
-	h.CursorRebuilds = r.NewCounterVec(MetricCursorRebuilds,
-		"Replay-cursor rebuilds forced by straggler billing rows.", "warehouse")
+		"Cost-model replays pricing an invoice (mode is always scratch).", "warehouse", "mode")
 	h.Invoices = r.NewCounterVec(MetricInvoices,
 		"Invoices cut at billing-period close.", "warehouse")
 	h.InvoiceActual = r.NewCounterVec(MetricInvoiceActual,
@@ -205,8 +209,7 @@ func (h *Hub) Prime(warehouse string) {
 	h.Degraded.With(warehouse)
 	h.IngestFailures.With(warehouse)
 	h.Trainings.With(warehouse)
-	h.Replays.With(warehouse, "incremental")
-	h.CursorRebuilds.With(warehouse)
+	h.Replays.With(warehouse, "scratch")
 	h.Invoices.With(warehouse)
 	h.InvoiceActual.With(warehouse)
 	h.InvoiceSavings.With(warehouse)
