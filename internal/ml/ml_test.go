@@ -277,9 +277,11 @@ func TestReplayBufferEviction(t *testing.T) {
 	// Oldest two (0, 1) must be gone.
 	rng := rand.New(rand.NewSource(7))
 	seen := map[int]bool{}
+	var slots []int
 	for i := 0; i < 100; i++ {
-		for _, tr := range b.Sample(rng, 3) {
-			seen[tr.Action] = true
+		slots = b.Sample(slots, rng, 3)
+		for _, slot := range slots {
+			seen[b.At(slot).Action] = true
 		}
 	}
 	if seen[0] || seen[1] {
@@ -292,14 +294,14 @@ func TestReplayBufferEviction(t *testing.T) {
 
 func TestReplayBufferSampleSmall(t *testing.T) {
 	b := NewReplayBuffer(10)
-	if got := b.Sample(rand.New(rand.NewSource(1)), 4); got != nil {
-		t.Fatal("empty buffer sampled non-nil")
+	if got := b.Sample(nil, rand.New(rand.NewSource(1)), 4); len(got) != 0 {
+		t.Fatal("empty buffer sampled non-empty")
 	}
 	b.Add(Transition{Action: 1})
 	b.Add(Transition{Action: 2})
-	got := b.Sample(rand.New(rand.NewSource(1)), 5)
-	if len(got) != 2 {
-		t.Fatalf("undersized sample = %d, want all 2", len(got))
+	got := b.Sample(nil, rand.New(rand.NewSource(1)), 5)
+	if len(got) != 2 || b.At(got[0]).Action != 1 || b.At(got[1]).Action != 2 {
+		t.Fatalf("undersized sample = %v, want all 2 slots in order", got)
 	}
 }
 
@@ -377,5 +379,39 @@ func TestPropertyScalerFinite(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Sample must make exactly the draws the copying sampler made: one
+// rng.Intn(Len()) per slot when the buffer holds more than n, none
+// otherwise.
+func TestReplayBufferSampleDraws(t *testing.T) {
+	b := NewReplayBuffer(8)
+	for i := 0; i < 3; i++ {
+		b.Add(Transition{Action: i})
+	}
+	rng, ref := rand.New(rand.NewSource(21)), rand.New(rand.NewSource(21))
+	var slots []int
+	if slots = b.Sample(slots, rng, 3); len(slots) != 3 || rng.Int63() != ref.Int63() {
+		t.Fatalf("sampling a buffer of n=3 slots drew from the rng or returned %v", slots)
+	}
+	for i := 3; i < 20; i++ {
+		if slot := b.Add(Transition{Action: i}); b.At(slot).Action != i {
+			t.Fatalf("Add returned slot %d, which holds action %d, want %d", slot, b.At(slot).Action, i)
+		}
+	}
+	for round := 0; round < 50; round++ {
+		slots = b.Sample(slots, rng, 5)
+		if len(slots) != 5 {
+			t.Fatalf("sampled %d slots, want 5", len(slots))
+		}
+		for _, slot := range slots {
+			if want := ref.Intn(b.Len()); slot != want {
+				t.Fatalf("round %d: slot %d, want draw %d", round, slot, want)
+			}
+		}
+	}
+	if rng.Int63() != ref.Int63() {
+		t.Fatal("Sample consumed a different number of draws")
 	}
 }

@@ -56,12 +56,22 @@ type layer struct {
 // MLP is a feed-forward network trained with backpropagation and SGD
 // (with optional gradient clipping). It is the function approximator
 // behind the DQN in internal/rl.
+//
+// Forward and TrainStep are allocation-free after the first call: each
+// network owns per-layer activation and delta scratch, built lazily and
+// overwritten by every call. An MLP is therefore not safe for
+// concurrent use, not even for concurrent Forward calls.
 type MLP struct {
 	layers []layer
 	// LearningRate is the SGD step size (default 1e-3 if zero).
 	LearningRate float64
 	// GradClip bounds each gradient component's magnitude; 0 disables.
 	GradClip float64
+
+	// acts[i] is layer i's output and deltas[i] its error term from the
+	// latest forward/backward pass.
+	acts   [][]float64
+	deltas [][]float64
 }
 
 // NewMLP builds a network with the given layer widths, e.g.
@@ -98,31 +108,61 @@ func (m *MLP) Widths() []int {
 	return out
 }
 
-// Forward evaluates the network on one input vector.
+// Forward evaluates the network on one input vector. The result is a
+// view of the network's scratch: it is valid until the next Forward or
+// TrainStep on this network. Callers that keep it must copy it.
+//
+// Each unit folds row·input left to right from zero, then adds its
+// bias — the order every stored weight and golden output was produced
+// with.
 func (m *MLP) Forward(x []float64) []float64 {
-	_, acts := m.forward(x)
-	return acts[len(acts)-1]
-}
-
-// forward returns pre-activations per layer and activations per layer
-// (activations[0] is the input).
-func (m *MLP) forward(x []float64) (zs [][]float64, acts [][]float64) {
-	acts = append(acts, append([]float64(nil), x...))
-	cur := acts[0]
-	for _, l := range m.layers {
-		z := l.w.MulVec(cur)
-		for i := range z {
-			z[i] += l.b[i]
-		}
-		zs = append(zs, z)
-		a := make([]float64, len(z))
-		for i, v := range z {
-			a[i] = l.act.apply(v)
-		}
-		acts = append(acts, a)
-		cur = a
+	if len(x) != m.layers[0].w.Cols {
+		panic(fmt.Sprintf("ml: input length %d, network expects %d", len(x), m.layers[0].w.Cols))
 	}
-	return zs, acts
+	if m.acts == nil {
+		m.acts = make([][]float64, len(m.layers))
+		m.deltas = make([][]float64, len(m.layers))
+		for i, l := range m.layers {
+			m.acts[i] = make([]float64, l.w.Rows)
+			m.deltas[i] = make([]float64, l.w.Rows)
+		}
+	}
+	in := x
+	for li, l := range m.layers {
+		out := m.acts[li]
+		n := len(in)
+		i := 0
+		// Four units at a time: four independent sums in flight hide
+		// the add latency, while each sum still folds its own row in
+		// order.
+		for ; i+4 <= len(out); i += 4 {
+			r0 := l.w.Data[i*n:][:n]
+			r1 := l.w.Data[(i+1)*n:][:n]
+			r2 := l.w.Data[(i+2)*n:][:n]
+			r3 := l.w.Data[(i+3)*n:][:n]
+			var s0, s1, s2, s3 float64
+			for j, v := range in {
+				s0 += r0[j] * v
+				s1 += r1[j] * v
+				s2 += r2[j] * v
+				s3 += r3[j] * v
+			}
+			out[i] = l.act.apply(s0 + l.b[i])
+			out[i+1] = l.act.apply(s1 + l.b[i+1])
+			out[i+2] = l.act.apply(s2 + l.b[i+2])
+			out[i+3] = l.act.apply(s3 + l.b[i+3])
+		}
+		for ; i < len(out); i++ {
+			row := l.w.Data[i*n:][:n]
+			var s float64
+			for j, v := range in {
+				s += row[j] * v
+			}
+			out[i] = l.act.apply(s + l.b[i])
+		}
+		in = out
+	}
+	return in
 }
 
 // TrainStep performs one backpropagation step toward target on a single
@@ -130,55 +170,67 @@ func (m *MLP) forward(x []float64) (zs [][]float64, acts [][]float64) {
 // error on unmasked outputs — the DQN updates only the taken action's
 // Q-value. Returns the (masked) squared error before the step.
 func (m *MLP) TrainStep(x, target []float64, mask []bool) float64 {
-	_, acts := m.forward(x)
-	out := acts[len(acts)-1]
+	out := m.Forward(x)
 	if len(target) != len(out) {
 		panic(fmt.Sprintf("ml: target length %d, output %d", len(target), len(out)))
 	}
+	last := len(m.layers) - 1
 	// Output delta.
-	delta := make([]float64, len(out))
+	delta := m.deltas[last]
+	clear(delta)
 	var loss float64
 	for i := range out {
 		if mask != nil && !mask[i] {
 			continue
 		}
 		e := out[i] - target[i]
-		delta[i] = e * m.layers[len(m.layers)-1].act.derivative(out[i])
+		delta[i] = e * m.layers[last].act.derivative(out[i])
 		loss += e * e
 	}
 	lr := m.LearningRate
 	if lr == 0 {
 		lr = 1e-3
 	}
-	// Backpropagate layer by layer.
-	for li := len(m.layers) - 1; li >= 0; li-- {
+	// Backpropagate layer by layer. Per weight, the next delta folds
+	// the pre-update weight times the unclipped delta; the update uses
+	// the clipped one.
+	for li := last; li >= 0; li-- {
 		l := m.layers[li]
-		in := acts[li]
+		in := x
 		var nextDelta []float64
 		if li > 0 {
-			nextDelta = make([]float64, len(in))
+			in = m.acts[li-1]
+			nextDelta = m.deltas[li-1]
+			clear(nextDelta)
 		}
-		for i := 0; i < l.w.Rows; i++ {
-			d := delta[i]
-			if d == 0 {
+		n := len(in)
+		for i, di := range delta {
+			if di == 0 {
 				continue
 			}
+			d := di
 			if m.GradClip > 0 {
 				d = Clamp(d, -m.GradClip, m.GradClip)
 			}
-			row := l.w.Row(i)
-			for j := range row {
-				if nextDelta != nil {
-					nextDelta[j] += row[j] * delta[i]
+			step := lr * d
+			row := l.w.Data[i*n:][:n]
+			if nextDelta != nil {
+				nd := nextDelta[:n]
+				for j, v := range in {
+					nd[j] += row[j] * di
+					row[j] -= step * v
 				}
-				row[j] -= lr * d * in[j]
+			} else {
+				for j, v := range in {
+					row[j] -= step * v
+				}
 			}
-			l.b[i] -= lr * d
+			l.b[i] -= step
 		}
 		if li > 0 {
 			prevAct := m.layers[li-1].act
-			for j := range nextDelta {
-				nextDelta[j] *= prevAct.derivative(acts[li][j])
+			for j, v := range in {
+				nextDelta[j] *= prevAct.derivative(v)
 			}
 			delta = nextDelta
 		}
@@ -186,7 +238,8 @@ func (m *MLP) TrainStep(x, target []float64, mask []bool) float64 {
 	return loss
 }
 
-// Clone returns a deep copy — used for DQN target networks.
+// Clone returns a deep copy of the parameters — used for DQN target
+// networks. The copy builds its own scratch on first use.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{LearningRate: m.LearningRate, GradClip: m.GradClip}
 	for _, l := range m.layers {

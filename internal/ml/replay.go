@@ -20,7 +20,6 @@ type ReplayBuffer struct {
 	capacity int
 	buf      []Transition
 	next     int
-	full     bool
 }
 
 // NewReplayBuffer allocates a buffer holding up to capacity transitions.
@@ -31,34 +30,39 @@ func NewReplayBuffer(capacity int) *ReplayBuffer {
 	return &ReplayBuffer{capacity: capacity, buf: make([]Transition, 0, capacity)}
 }
 
-// Add appends a transition, evicting the oldest when full.
-func (b *ReplayBuffer) Add(t Transition) {
+// Add stores a transition, evicting the oldest when full, and returns
+// the slot it wrote. Slots are stable: a slot holds the same transition
+// until a later Add overwrites it.
+func (b *ReplayBuffer) Add(t Transition) int {
 	if len(b.buf) < b.capacity {
 		b.buf = append(b.buf, t)
-		return
+		return len(b.buf) - 1
 	}
-	b.buf[b.next] = t
+	slot := b.next
+	b.buf[slot] = t
 	b.next = (b.next + 1) % b.capacity
-	b.full = true
+	return slot
 }
 
 // Len returns the number of stored transitions.
 func (b *ReplayBuffer) Len() int { return len(b.buf) }
 
-// Sample draws n transitions uniformly with replacement. It returns
-// fewer (all, in order) if the buffer holds fewer than n.
-func (b *ReplayBuffer) Sample(rng *rand.Rand, n int) []Transition {
-	if len(b.buf) == 0 {
-		return nil
-	}
+// At returns the transition in slot i (0 ≤ i < Len()).
+func (b *ReplayBuffer) At(i int) Transition { return b.buf[i] }
+
+// Sample draws n slots uniformly with replacement into dst[:0] and
+// returns it. It returns every slot in order, without drawing, if the
+// buffer holds n or fewer transitions.
+func (b *ReplayBuffer) Sample(dst []int, rng *rand.Rand, n int) []int {
+	dst = dst[:0]
 	if len(b.buf) <= n {
-		out := make([]Transition, len(b.buf))
-		copy(out, b.buf)
-		return out
+		for i := range b.buf {
+			dst = append(dst, i)
+		}
+		return dst
 	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = b.buf[rng.Intn(len(b.buf))]
+	for i := 0; i < n; i++ {
+		dst = append(dst, rng.Intn(len(b.buf)))
 	}
-	return out
+	return dst
 }

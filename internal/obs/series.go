@@ -80,7 +80,7 @@ type Series struct {
 	name   string
 	agg    Agg
 	budget int
-	stride int   // raw samples folded into one retained point
+	stride int // raw samples folded into one retained point
 	pts    []point
 	pend   point // partial bucket accumulating toward the next point
 }
@@ -288,13 +288,13 @@ type SampleSpec struct {
 // most one goroutine at a time (epoch barriers order the handoffs),
 // matching the rest of the per-tenant stack.
 type Recorder struct {
-	hub    *Hub
-	specs  []SampleSpec
-	series []*Series
-	prev   []float64
+	hub      *Hub
+	specs    []SampleSpec
+	series   []*Series
+	prev     []float64
 	prevHist [][]uint64
-	gLast  []*Gauge
-	gPts   []*Gauge
+	gLast    []*Gauge
+	gPts     []*Gauge
 }
 
 // NewRecorder builds a recorder over the hub's registry. Registering

@@ -109,6 +109,17 @@ type Agent struct {
 	buf    *ml.ReplayBuffer
 	rng    *rand.Rand
 	steps  int
+
+	// boot memoizes vanilla DQN's bootstrap max_a Q_target(next) per
+	// replay slot. The target net only changes at a sync, so an entry
+	// stays exact until its slot is overwritten (add) or the target
+	// syncs (trainStep clears it). 0 marks an empty entry; a true
+	// bootstrap of ±0 is recomputed, which yields the same bits.
+	boot []float64
+	// Per-step scratch reused by trainStep.
+	batch   []int
+	targets []float64
+	mask    []bool
 }
 
 // NewAgent builds an agent with freshly initialized networks.
@@ -137,17 +148,24 @@ func NewAgent(rng *rand.Rand, cfg Config) *Agent {
 		target: q.Clone(),
 		buf:    ml.NewReplayBuffer(cfg.BufferSize),
 		rng:    rng,
+
+		batch:   make([]int, 0, cfg.BatchSize),
+		targets: make([]float64, action.NumKinds),
+		mask:    make([]bool, action.NumKinds),
 	}
 }
 
-// Q returns the Q-values for every action in the given state.
-func (a *Agent) Q(state []float64) []float64 { return a.q.Forward(state) }
+// Q returns a fresh copy of the Q-values for every action in the given
+// state.
+func (a *Agent) Q(state []float64) []float64 {
+	return append([]float64(nil), a.q.Forward(state)...)
+}
 
 // Rank returns all action kinds sorted by descending Q-value — the
 // smart model walks this list and applies the best action that passes
 // the cost model and constraint filters.
 func (a *Agent) Rank(state []float64) []action.Kind {
-	qs := a.Q(state)
+	qs := a.q.Forward(state)
 	kinds := action.All()
 	// Insertion sort by Q desc; the action space is tiny.
 	for i := 1; i < len(kinds); i++ {
@@ -191,55 +209,76 @@ func (a *Agent) SetEpsilonFloor(min float64) {
 
 // Observe stores a transition and performs one training step.
 func (a *Agent) Observe(tr ml.Transition) float64 {
-	a.buf.Add(tr)
+	a.add(tr)
 	return a.trainStep()
+}
+
+// add stores a transition and invalidates its slot's bootstrap memo.
+func (a *Agent) add(tr ml.Transition) {
+	slot := a.buf.Add(tr)
+	if slot == len(a.boot) {
+		a.boot = append(a.boot, 0)
+	} else {
+		a.boot[slot] = 0
+	}
 }
 
 // trainStep samples a minibatch of BatchSize transitions and applies
 // one single-sample SGD step per transition, in sequence (not one
 // averaged minibatch gradient), returning the mean TD loss.
 func (a *Agent) trainStep() float64 {
-	batch := a.buf.Sample(a.rng, a.cfg.BatchSize)
-	if len(batch) == 0 {
+	a.batch = a.buf.Sample(a.batch, a.rng, a.cfg.BatchSize)
+	if len(a.batch) == 0 {
 		return 0
 	}
 	var total float64
-	for _, tr := range batch {
+	for _, slot := range a.batch {
+		tr := a.buf.At(slot)
 		target := tr.Reward
 		if !tr.Terminal {
-			nq := a.target.Forward(tr.NextState)
-			var boot float64
-			if a.cfg.DoubleDQN {
-				// Double DQN: online net picks, target net scores.
-				oq := a.q.Forward(tr.NextState)
-				argmax := 0
-				for i := 1; i < len(oq); i++ {
-					if oq[i] > oq[argmax] {
-						argmax = i
-					}
-				}
-				boot = nq[argmax]
-			} else {
-				boot = nq[0]
-				for _, v := range nq[1:] {
-					if v > boot {
-						boot = v
-					}
-				}
-			}
-			target += a.cfg.Gamma * boot
+			target += a.cfg.Gamma * a.bootstrap(slot, tr.NextState)
 		}
-		targets := make([]float64, action.NumKinds)
-		mask := make([]bool, action.NumKinds)
-		targets[tr.Action] = target
-		mask[tr.Action] = true
-		total += a.q.TrainStep(tr.State, targets, mask)
+		clear(a.targets)
+		clear(a.mask)
+		a.targets[tr.Action] = target
+		a.mask[tr.Action] = true
+		total += a.q.TrainStep(tr.State, a.targets, a.mask)
 	}
 	a.steps++
 	if a.steps%a.cfg.SyncEvery == 0 {
 		a.target.CopyFrom(a.q)
+		clear(a.boot)
 	}
-	return total / float64(len(batch))
+	return total / float64(len(a.batch))
+}
+
+// bootstrap returns the value of next, the state stored in slot: the
+// target net's max Q (memoized), or under Double DQN the target net's
+// Q for the online net's argmax (never memoized: the online net moves
+// every step).
+func (a *Agent) bootstrap(slot int, next []float64) float64 {
+	if a.cfg.DoubleDQN {
+		oq := a.q.Forward(next)
+		argmax := 0
+		for i := 1; i < len(oq); i++ {
+			if oq[i] > oq[argmax] {
+				argmax = i
+			}
+		}
+		return a.target.Forward(next)[argmax]
+	}
+	if v := a.boot[slot]; v != 0 {
+		return v
+	}
+	nq := a.target.Forward(next)
+	boot := nq[0]
+	for _, v := range nq[1:] {
+		if v > boot {
+			boot = v
+		}
+	}
+	a.boot[slot] = boot
+	return boot
 }
 
 // Pretrain fills the replay buffer with historical transitions and
@@ -247,7 +286,7 @@ func (a *Agent) trainStep() float64 {
 // the agent act sensibly from its first live decision.
 func (a *Agent) Pretrain(transitions []ml.Transition, steps int) {
 	for _, tr := range transitions {
-		a.buf.Add(tr)
+		a.add(tr)
 	}
 	for i := 0; i < steps; i++ {
 		a.trainStep()
