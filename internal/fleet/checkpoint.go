@@ -24,6 +24,12 @@ package fleet
 // time rather than corrupting the continued run. External alert
 // delivery is muted during replay so a resumed run never re-pages for
 // alerts delivered before the crash.
+//
+// CheckpointView is the other reader: it restores only what the ops
+// payloads read (series, alert tracker, quarantine records) into a
+// fleet skeleton and calls the live /fleet/* builders on it. A
+// quarantined tenant's entry keeps its frozen recorder so the offline
+// view shows the same series and verdicts as the live one.
 
 import (
 	"bytes"
@@ -40,8 +46,9 @@ import (
 
 // CheckpointVersion is the checkpoint file format version. Loaders
 // reject any other value: a format change must not be silently
-// misinterpreted as state.
-const CheckpointVersion = 1
+// misinterpreted as state. Version 2 stores a quarantined tenant's
+// recorder, which version 1 dropped.
+const CheckpointVersion = 2
 
 // Checkpoint is one epoch-aligned fleet snapshot.
 type Checkpoint struct {
@@ -148,8 +155,8 @@ type AlertState struct {
 // TenantCheckpoint is one tenant's snapshot. For an active tenant it
 // pins every evolving piece of state the replay must reproduce; for a
 // quarantined tenant it records the freeze itself (epoch, reason,
-// frozen KPI row) — the tenant never advances again, so nothing else
-// need survive.
+// frozen KPI row) and the recorder its series froze in — the tenant
+// never advances again, so nothing else need survive.
 type TenantCheckpoint struct {
 	Tenant  string `json:"tenant"`
 	Index   int    `json:"index"`
@@ -184,10 +191,11 @@ type TenantCheckpoint struct {
 // checkpoint extracts the tenant's snapshot entry.
 func (t *tenant) checkpoint() (TenantCheckpoint, error) {
 	tc := TenantCheckpoint{
-		Tenant:  t.id,
-		Index:   t.idx,
-		Seed:    t.seed,
-		Profile: t.prof.String(),
+		Tenant:   t.id,
+		Index:    t.idx,
+		Seed:     t.seed,
+		Profile:  t.profile,
+		Recorder: t.rec.Snapshot(),
 	}
 	if t.quarantined() {
 		tc.Quarantined = true
@@ -211,7 +219,6 @@ func (t *tenant) checkpoint() (TenantCheckpoint, error) {
 		return tc, fmt.Errorf("fleet: tenant %s: %w", t.id, err)
 	}
 	tc.EventsHash = state
-	tc.Recorder = t.rec.Snapshot()
 	if t.attachErr != nil {
 		tc.AttachErr = t.attachErr.Error()
 	}
@@ -451,12 +458,15 @@ func (f *Fleet) verifyCheckpoint(cp *Checkpoint) error {
 	for i := range cp.Tenants {
 		want, have := cp.Tenants[i], got.Tenants[i]
 		if want.Quarantined {
-			// The freeze was restored, not re-executed; epoch and reason
-			// are the record to check, the KPI row came from the
-			// checkpoint itself.
+			// The freeze was restored, not re-executed; epoch, reason
+			// and the frozen series are the record to check, the KPI
+			// row came from the checkpoint itself.
 			if !have.Quarantined || have.QuarantineEpoch != want.QuarantineEpoch ||
 				have.QuarantineReason != want.QuarantineReason {
 				return fmt.Errorf("fleet: resume verify: tenant %s quarantine state diverged", want.Tenant)
+			}
+			if err := jsonEq("tenant "+want.Tenant+" recorder", have.Recorder, want.Recorder); err != nil {
+				return err
 			}
 			continue
 		}
@@ -489,136 +499,57 @@ func jsonEq(what string, got, want any) error {
 }
 
 // CheckpointView rebuilds the fleet ops payloads (live KPIs, time
-// series, SLO status) from a checkpoint alone — no replay, no fleet.
-// The portal uses it to inspect a crashed run offline.
+// series, SLO status) from a checkpoint alone — no replay, no
+// simulation. It restores a read-only fleet skeleton (fleet series,
+// alert tracker, each tenant's identity, recorder and quarantine
+// record) and asks it for the payloads the live /fleet/* endpoints
+// serve, so the offline and live views are one computation. The portal
+// uses it to inspect a crashed run offline.
 func CheckpointView(cp *Checkpoint) (LiveKPIs, FleetTimeSeries, SLOStatus, error) {
-	var (
-		kpis LiveKPIs
-		ts   FleetTimeSeries
-		slo  SLOStatus
-	)
+	f, err := viewFleet(cp)
+	if err != nil {
+		return LiveKPIs{}, FleetTimeSeries{}, SLOStatus{}, fmt.Errorf("fleet: checkpoint view: %w", err)
+	}
+	return f.KPIs(), f.TimeSeries(), f.SLOStatus(), nil
+}
+
+// viewFleet restores the fleet state the ops payloads read. The
+// skeleton has no simulation stack and no worker pool; only the plane
+// and the payload builders may touch it.
+func viewFleet(cp *Checkpoint) (*Fleet, error) {
 	if err := cp.validate(); err != nil {
-		return kpis, ts, slo, fmt.Errorf("fleet: checkpoint view: %w", err)
+		return nil, err
 	}
 	cfg, err := cp.Config.Merge(Config{}).withDefaults()
 	if err != nil {
-		return kpis, ts, slo, fmt.Errorf("fleet: checkpoint view: %w", err)
+		return nil, err
 	}
-	objectives := cfg.SLO.Objectives()
-
-	kpis = LiveKPIs{
-		Seed:        cfg.Seed,
-		Tenants:     cfg.Tenants,
-		Epoch:       cp.Epoch,
-		Epochs:      cfg.Epochs,
-		EpochLen:    cfg.EpochLen,
-		AttachEpoch: cfg.AttachEpoch,
-		Now:         time.Unix(0, cp.Now).UTC(),
-		Done:        cp.Epoch == cfg.Epochs,
-		Fleet:       make(map[string]float64, len(cp.FleetSeries)),
-	}
-	ts = FleetTimeSeries{
-		Budget:   cfg.SeriesBudget,
-		EpochLen: cfg.EpochLen,
-		Epoch:    cp.Epoch,
-	}
+	p := newObsPlane(cfg, time.Unix(0, cp.Now).UTC())
+	p.epoch, p.done = cp.Epoch, cp.Epoch == cfg.Epochs
+	p.fleet = p.fleet[:0]
 	for _, snap := range cp.FleetSeries {
 		s, err := obs.RestoreSeries(snap)
 		if err != nil {
-			return kpis, ts, slo, fmt.Errorf("fleet: checkpoint view: %w", err)
+			return nil, err
 		}
-		kpis.Fleet[s.Name()] = s.Last()
-		ts.Fleet = append(ts.Fleet, s.Dump())
+		p.fleet = append(p.fleet, s)
 	}
-	slo = SLOStatus{
-		Config:             cfg.SLO,
-		Objectives:         objectives,
-		FailingByObjective: make(map[string]int),
-	}
-	for _, tc := range cp.Tenants {
-		series := make(map[string]*obs.Series, len(tc.Recorder.Series))
-		var dumps []obs.SeriesDump
-		for _, snap := range tc.Recorder.Series {
-			s, err := obs.RestoreSeries(snap)
-			if err != nil {
-				return kpis, ts, slo, fmt.Errorf("fleet: checkpoint view: tenant %s: %w", tc.Tenant, err)
-			}
-			series[s.Name()] = s
-			dumps = append(dumps, s.Dump())
-		}
-		lookup := func(name string) *obs.Series { return series[name] }
-		verdicts := obs.Evaluate(objectives, lookup)
-		failed := obs.FailedObjectives(verdicts)
-
-		live := TenantLive{
-			Tenant:    tc.Tenant,
-			Index:     tc.Index,
-			Seed:      tc.Seed,
-			Profile:   tc.Profile,
-			Last:      make(map[string]float64, len(series)),
-			SLOPass:   len(failed) == 0,
-			WorstBurn: obs.WorstBurn(verdicts),
-			Failed:    failed,
-			Replay:    replayCommand(cfg, tc.Index, tc.Seed),
-		}
-		for name, s := range series {
-			live.Last[name] = s.Last()
-		}
-		row := TenantSLO{
-			Tenant:    tc.Tenant,
-			Pass:      live.SLOPass,
-			WorstBurn: live.WorstBurn,
-			Verdicts:  verdicts,
-			Replay:    live.Replay,
+	p.tracker = obs.RestoreAlertTracker(cp.Alerts.Seq, cp.Alerts.Firing, cp.Alerts.Log)
+	f := &Fleet{cfg: cfg, plane: p, tenants: make([]*tenant, len(cp.Tenants))}
+	// The view never reads the gauges a recorder mirrors its series
+	// onto, so one scratch hub backs every restored recorder.
+	hub := obs.NewHub(nil)
+	for i, tc := range cp.Tenants {
+		t := &tenant{idx: tc.Index, id: tc.Tenant, seed: tc.Seed, profile: tc.Profile,
+			rec: obs.NewRecorder(hub, p.specs, cfg.SeriesBudget)}
+		if err := t.rec.Restore(tc.Recorder); err != nil {
+			return nil, fmt.Errorf("tenant %s: %w", tc.Tenant, err)
 		}
 		if tc.Quarantined {
-			live.Quarantined, row.Quarantined = true, true
-			live.QuarantineEpoch, row.QuarantineEpoch = tc.QuarantineEpoch, tc.QuarantineEpoch
-			live.QuarantineReason, row.QuarantineReason = tc.QuarantineReason, tc.QuarantineReason
-			kpis.Quarantined++
-			slo.Quarantined++
+			t.qEpoch, t.qReason = tc.QuarantineEpoch, tc.QuarantineReason
+			t.quar.Store(true)
 		}
-		if !live.SLOPass {
-			kpis.SLOFailing++
-		}
-		if row.Pass {
-			slo.Passing++
-		} else {
-			slo.Failing++
-		}
-		for _, name := range failed {
-			slo.FailingByObjective[name]++
-		}
-		if row.WorstBurn > slo.WorstBurn {
-			slo.WorstBurn = row.WorstBurn
-		}
-		kpis.PerTenant = append(kpis.PerTenant, live)
-		ts.PerTenant = append(ts.PerTenant, TenantSeries{Tenant: tc.Tenant, Series: dumps})
-		slo.PerTenant = append(slo.PerTenant, row)
+		f.tenants[i] = t
 	}
-	slo.Alerts = alertSummaryOf(cp.Alerts)
-	return kpis, ts, slo, nil
-}
-
-// alertSummaryOf rolls a checkpointed alert state up the same way the
-// live plane does.
-func alertSummaryOf(st AlertState) AlertSummary {
-	sum := AlertSummary{Total: st.Seq, Firing: st.Firing}
-	log := st.Log
-	for _, a := range log {
-		switch a.Kind {
-		case obs.AlertSLOBreach:
-			sum.Breaches++
-		case obs.AlertSLORecovery:
-			sum.Recoveries++
-		case obs.AlertQuarantine:
-			sum.Quarantines++
-		}
-	}
-	const recent = 20
-	if len(log) > recent {
-		log = log[len(log)-recent:]
-	}
-	sum.Recent = log
-	return sum
+	return f, nil
 }

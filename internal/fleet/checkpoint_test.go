@@ -100,45 +100,60 @@ func TestResumeDoesNotRewriteReplayedCheckpoints(t *testing.T) {
 
 // TestCheckpointViewMatchesLive: the offline portal view rebuilt from a
 // checkpoint alone must be JSON-identical to the live fleet's ops
-// payloads at the same epoch.
+// payloads at the same epoch — including a quarantined tenant, whose
+// frozen series and verdicts the view must show as the live plane does.
 func TestCheckpointViewMatchesLive(t *testing.T) {
-	cfg := testConfig(3, 2)
-	cfg.Epochs = 6
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := f.Checkpoint()
-	if err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	kpis, ts, slo, err := CheckpointView(cp)
-	if err != nil {
-		t.Fatalf("CheckpointView: %v", err)
-	}
-	for _, pair := range []struct {
-		what       string
-		view, live any
+	clean := testConfig(3, 2)
+	clean.Epochs = 6
+	quarantined := testConfig(4, 2)
+	quarantined.Epochs = 8
+	quarantined.PanicTenants = []int{2}
+	quarantined.PanicEpoch = 4
+	for _, tc := range []struct {
+		name string
+		cfg  Config
 	}{
-		{"kpis", kpis, f.KPIs()},
-		{"timeseries", ts, f.TimeSeries()},
-		{"slo", slo, f.SLOStatus()},
+		{"clean", clean},
+		{"quarantined", quarantined},
 	} {
-		v, err := json.Marshal(pair.view)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := json.Marshal(pair.live)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(v) != string(l) {
-			t.Errorf("%s: checkpoint view diverges from live payload:\nview: %s\nlive: %s", pair.what, v, l)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Run(); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := f.Checkpoint()
+			if err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			kpis, ts, slo, err := CheckpointView(cp)
+			if err != nil {
+				t.Fatalf("CheckpointView: %v", err)
+			}
+			for _, pair := range []struct {
+				what       string
+				view, live any
+			}{
+				{"kpis", kpis, f.KPIs()},
+				{"timeseries", ts, f.TimeSeries()},
+				{"slo", slo, f.SLOStatus()},
+			} {
+				v, err := json.Marshal(pair.view)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, err := json.Marshal(pair.live)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(v) != string(l) {
+					t.Errorf("%s: checkpoint view diverges from live payload:\nview: %s\nlive: %s", pair.what, v, l)
+				}
+			}
+		})
 	}
 }
 
@@ -174,6 +189,7 @@ func TestLoadCheckpointRejectsMalformed(t *testing.T) {
 		errHas string
 	}{
 		{"version skew", rewrite(func(cp *Checkpoint) { cp.Version = 99 }), "unsupported version"},
+		{"version 1", rewrite(func(cp *Checkpoint) { cp.Version = 1 }), "unsupported version"},
 		{"epoch beyond horizon", rewrite(func(cp *Checkpoint) { cp.Epoch = cp.Config.Epochs + 1 }), "beyond configured horizon"},
 		{"tenant count mismatch", rewrite(func(cp *Checkpoint) { cp.Tenants = cp.Tenants[:1] }), "tenant entries"},
 		{"index disorder", rewrite(func(cp *Checkpoint) { cp.Tenants[0].Index = 1 }), "has index"},
@@ -201,24 +217,38 @@ func TestLoadCheckpointRejectsMalformed(t *testing.T) {
 
 // TestResumeRejectsTamper: a checkpoint whose recorded state does not
 // match what the deterministic replay reproduces must be refused —
-// silent divergence would corrupt everything after the resume.
+// silent divergence would corrupt everything after the resume. That
+// covers a quarantined tenant's frozen recorder as well as an active
+// tenant's state.
 func TestResumeRejectsTamper(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(2, 1)
 	cfg.Epochs = 4
 	cfg.CheckpointDir = dir
 	cfg.CheckpointEvery = 4
+	cfg.PanicTenants = []int{1}
+	cfg.PanicEpoch = 2
 	runFleet(t, cfg)
 	path := filepath.Join(dir, checkpointFileName(4))
 
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Tenants = append([]TenantCheckpoint(nil), cp.Tenants...)
-	cp.Tenants[0].SchedSteps++
-	if _, err := Resume(cp, resumeBase(cfg)); err == nil || !strings.Contains(err.Error(), "resume verify") {
-		t.Fatalf("tampered scheduler state: err = %v, want resume verify failure", err)
+	for _, tc := range []struct {
+		name   string
+		tamper func(*Checkpoint)
+	}{
+		{"active scheduler state", func(cp *Checkpoint) { cp.Tenants[0].SchedSteps++ }},
+		{"quarantined recorder", func(cp *Checkpoint) { cp.Tenants[1].Recorder.Series[0].Points[0].V++ }},
+	} {
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cp.Tenants[1].Quarantined {
+			t.Fatalf("checkpoint does not record tenant 1's quarantine: %+v", cp.Tenants[1])
+		}
+		tc.tamper(cp)
+		if _, err := Resume(cp, resumeBase(cfg)); err == nil || !strings.Contains(err.Error(), "resume verify") {
+			t.Fatalf("tampered %s: err = %v, want resume verify failure", tc.name, err)
+		}
 	}
 
 	// A checkpointed config that defaulting would alter is a config from

@@ -267,7 +267,7 @@ func (f *Fleet) KPIs() LiveKPIs {
 			Tenant:    t.id,
 			Index:     t.idx,
 			Seed:      t.seed,
-			Profile:   t.prof.String(),
+			Profile:   t.profile,
 			Last:      make(map[string]float64, len(p.specs)),
 			SLOPass:   len(failed) == 0,
 			WorstBurn: obs.WorstBurn(verdicts),

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"sync/atomic"
@@ -28,24 +29,13 @@ import (
 const warehouseName = "MAIN_WH"
 
 // TenantSeed derives tenant idx's simulation seed from the fleet seed,
-// using the same FNV-split idiom as simclock.Scheduler.Rand. The split
+// using the same FNV-1a split as simclock.Scheduler.SeedFor. The split
 // is a documented contract: `kwo-fleet -tenant-seed $(this value)`
 // replays one tenant standalone, byte-identical to its in-fleet run.
 func TenantSeed(fleetSeed int64, idx int) int64 {
-	h := fnvHash(fmt.Sprintf("fleet:tenant:%d", idx))
-	return fleetSeed ^ int64(h)
-}
-
-func fnvHash(s string) uint64 {
-	// FNV-1a, inlined to keep the derivation self-describing here.
-	const offset64 = 14695981039346656037
-	const prime64 = 1099511628211
-	var h uint64 = offset64
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
+	h := fnv.New64a()
+	fmt.Fprintf(h, "fleet:tenant:%d", idx)
+	return fleetSeed ^ int64(h.Sum64())
 }
 
 // profile is a tenant's derived shape: workload class and intensity,
@@ -231,7 +221,10 @@ type tenant struct {
 	id   string
 	seed int64
 	prof profile
-	plan *cdw.FaultPlan
+	// profile is prof rendered once, after the backend clamp: the
+	// string every KPI row, checkpoint entry and ops payload carries.
+	profile string
+	plan    *cdw.FaultPlan
 
 	sched  *simclock.Scheduler
 	acct   *cdw.Account
@@ -290,6 +283,7 @@ func newTenant(idx int, id string, seed int64, cfg Config) *tenant {
 		t.attachErr = fmt.Errorf("tenant %s: backend: %w", id, bkErr)
 		bk = cdw.DefaultBackend()
 	}
+	t.profile = t.prof.String()
 	t.acct = cdw.NewAccountWithBackend(t.sched, cfg.Params, bk)
 	t.store = telemetry.NewStore()
 	t.hub = obs.NewHub(t.sched.Now)
@@ -411,7 +405,7 @@ func (t *tenant) restoreQuarantine(rq *resumeQuarantine) {
 // mid-step may not be able to answer every question — falling back to
 // an identity-only row rather than taking the fleet down twice.
 func (t *tenant) freezeKPI(epoch int, reason string) *TenantKPI {
-	k := TenantKPI{Tenant: t.id, Index: t.idx, Seed: t.seed, Profile: t.prof.String()}
+	k := TenantKPI{Tenant: t.id, Index: t.idx, Seed: t.seed, Profile: t.profile}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -488,7 +482,7 @@ func (t *tenant) kpiNow() TenantKPI {
 		Tenant:  t.id,
 		Index:   t.idx,
 		Seed:    t.seed,
-		Profile: t.prof.String(),
+		Profile: t.profile,
 	}
 	if t.attachErr != nil {
 		k.Err = t.attachErr.Error()

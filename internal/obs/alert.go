@@ -202,6 +202,18 @@ func NewAlertTracker() *AlertTracker {
 	return &AlertTracker{firing: make(map[string]bool)}
 }
 
+// RestoreAlertTracker rebuilds a tracker from checkpointed state: the
+// sequence counter, the firing pairs as FiringKeys renders them, and
+// the log.
+func RestoreAlertTracker(seq uint64, firing []string, log []Alert) *AlertTracker {
+	tr := &AlertTracker{seq: seq, firing: make(map[string]bool, len(firing)),
+		log: append([]Alert(nil), log...)}
+	for _, k := range firing {
+		tr.firing[k] = true
+	}
+	return tr
+}
+
 func firingKey(tenant, objective string) string { return tenant + "/" + objective }
 
 // Observe evaluates one tenant's verdicts at one tick and returns the

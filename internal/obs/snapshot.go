@@ -65,8 +65,8 @@ func (s *Series) Snapshot() SeriesSnapshot {
 	return snap
 }
 
-// ParseAgg decodes an Agg wire name (the Agg.String values).
-func ParseAgg(s string) (Agg, error) {
+// parseAgg decodes an Agg wire name (the Agg.String values).
+func parseAgg(s string) (Agg, error) {
 	switch s {
 	case "last":
 		return AggLast, nil
@@ -83,7 +83,7 @@ func ParseAgg(s string) (Agg, error) {
 // RestoreSeries rebuilds a Series from a snapshot. The restored series
 // behaves identically to the original under further Appends.
 func RestoreSeries(snap SeriesSnapshot) (*Series, error) {
-	agg, err := ParseAgg(snap.Agg)
+	agg, err := parseAgg(snap.Agg)
 	if err != nil {
 		return nil, fmt.Errorf("obs: restore series %q: %w", snap.Name, err)
 	}
